@@ -5,8 +5,8 @@
 //                         (embedding -> LstmCell -> detach) at the production
 //                         NeuralRecConfig shape (embedding 16, hidden 24).
 //                         The gated workload: graph-free must be >= 2x, and
-//                         the fused compiled-step replay >= 1.3x over the
-//                         unfused graph-free path.
+//                         the cell's direct step >= 1.3x over its op
+//                         composition on the graph-free path.
 //   * st_clstm_forward  — the same rollout through the ST-CLSTM cell.
 //   * lstm_forward_h128 — informational larger-hidden variant, where raw
 //                         MatMul flops start to amortise the graph overhead.
@@ -26,14 +26,13 @@
 // other arms are pinned to the best SIMD table, so the gates don't depend
 // on the PA_SIMD environment the bench happens to run under.
 //
-// Schema v3 adds the operator-fusion arm: `nograph` runs under
-// ScopedFusionDisable (the exact pre-fusion fast path, so its history stays
-// comparable across PRs), and a fourth interleaved `fused` arm runs the
-// default path, where RunStep replays the compiled per-cell program.
-// *_fused_speedup is nograph-ns / fused-ns, gated >= 1.3x on lstm and
-// st_clstm in full mode; the fused rollout must stay bit-identical to the
-// unfused one (same dispatch table — the fused kernels reuse each table's
-// own sigmoid/tanh bodies).
+// Schema v4: `nograph` calls the cell's op composition (`ForwardOps`)
+// under InferenceModeScope, the unfused fast path, and a fourth interleaved
+// `fused` arm calls `Forward`, which under inference mode is the cell's
+// direct step (nn/cell_step.h). *_fused_speedup is nograph-ns / fused-ns,
+// gated >= 1.3x on lstm and st_clstm in full mode; the fused rollout must
+// stay bit-identical to the unfused one (same dispatch table — the fused
+// kernels reuse each table's own sigmoid/tanh bodies).
 //
 // The graph-building reference runs under
 // tensor::internal::ScopedInferenceDisable, which turns the wired-in
@@ -45,7 +44,7 @@
 //
 // Writes BENCH_inference.json (flat JSON, $PA_BENCH_DIR honoured) in the
 // schema shared with bench_serving / bench_parallel_eval:
-// {"bench": ..., "schema_version": 2, <metric>: number, ...} where tracked
+// {"bench": ..., "schema_version": 4, <metric>: number, ...} where tracked
 // metric suffixes are _ns_op (lower is better), _qps, _speedup and hr*
 // (higher is better) — see scripts/bench_compare.py.
 //
@@ -71,7 +70,6 @@
 #include "rec/registry.h"
 #include "serve/json.h"
 #include "tensor/buffer_pool.h"
-#include "tensor/compiled_step.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -111,9 +109,9 @@ void OneArmPass(InitFn& init, StepFn& step, int steps, int rollouts,
 
 struct ModePair {
   RolloutResult graph;
-  RolloutResult nograph;         // Fast path, fusion disabled (PR 3/6 arm).
-  RolloutResult nograph_scalar;  // Fast path, scalar reference kernels.
-  RolloutResult fused;           // Default path: compiled-step replay.
+  RolloutResult nograph;         // Fast path through the op composition.
+  RolloutResult nograph_scalar;  // Same, scalar reference kernels.
+  RolloutResult fused;           // Fast path through the direct step.
   double speedup() const {
     return nograph.ns_per_step > 0.0 ? graph.ns_per_step / nograph.ns_per_step
                                      : 0.0;
@@ -143,9 +141,12 @@ struct ModePair {
 // table; a third fast-path arm pins the scalar reference table, feeding the
 // *_simd_speedup gate. Identity is only compared between same-dispatch arms
 // (the SIMD tables' expf carries a documented ~2 ulp tolerance).
-template <typename InitFn, typename GraphFn, typename FastFn>
-ModePair TimeModePair(InitFn init, GraphFn step_graph, FastFn step_fast,
-                      int steps, int rollouts, int reps) {
+// `step_graph` runs under ScopedInferenceDisable, `step_ops` is the op
+// composition and `step_direct` the direct step.
+template <typename InitFn, typename GraphFn, typename OpsFn, typename DirectFn>
+ModePair TimeModePair(InitFn init, GraphFn step_graph, OpsFn step_ops,
+                      DirectFn step_direct, int steps, int rollouts,
+                      int reps) {
   const tensor::kernels::KernelTable& simd = tensor::kernels::BestSimdTable();
   const tensor::kernels::KernelTable& scalar = tensor::kernels::ScalarTable();
   ModePair pair;
@@ -162,26 +163,20 @@ ModePair TimeModePair(InitFn init, GraphFn step_graph, FastFn step_fast,
                  r < 0 ? &warmup_sink : &pair.graph);
     }
     {
-      // The pre-fusion fast path: fusion off keeps this arm's history
-      // comparable with the PR 3/6 numbers it gated on.
-      tensor::fusion::ScopedFusionDisable no_fusion;
       tensor::InferenceModeScope scope;
-      OneArmPass(init, step_fast, steps, rollouts,
+      OneArmPass(init, step_ops, steps, rollouts,
                  r < 0 ? &warmup_sink : &pair.nograph);
     }
     {
-      tensor::fusion::ScopedFusionDisable no_fusion;
       tensor::kernels::SetDispatchOverride(&scalar);
       tensor::InferenceModeScope scope;
-      OneArmPass(init, step_fast, steps, rollouts,
+      OneArmPass(init, step_ops, steps, rollouts,
                  r < 0 ? &warmup_sink : &pair.nograph_scalar);
       tensor::kernels::SetDispatchOverride(&simd);
     }
     {
-      // Default path: the warmup rep records and compiles the step, so the
-      // timed reps measure pure replay.
       tensor::InferenceModeScope scope;
-      OneArmPass(init, step_fast, steps, rollouts,
+      OneArmPass(init, step_direct, steps, rollouts,
                  r < 0 ? &warmup_sink : &pair.fused);
     }
   }
@@ -205,11 +200,16 @@ ModePair BenchLstmForward(int dim, int hidden, int steps, int rollouts,
     next.c = next.c.Detach();
     return next;
   };
-  auto step_fast = [&](const nn::LstmState& state, int t) {
+  auto step_ops = [&](const nn::LstmState& state, int t) {
+    ids[0] = (t * 31) % vocab;
+    return cell.ForwardOps(embedding.Forward(ids), state);
+  };
+  auto step_direct = [&](const nn::LstmState& state, int t) {
     ids[0] = (t * 31) % vocab;
     return cell.Forward(embedding.Forward(ids), state);
   };
-  return TimeModePair(init, step_graph, step_fast, steps, rollouts, reps);
+  return TimeModePair(init, step_graph, step_ops, step_direct, steps,
+                      rollouts, reps);
 }
 
 ModePair BenchStClstmForward(int dim, int hidden, int steps, int rollouts,
@@ -229,12 +229,18 @@ ModePair BenchStClstmForward(int dim, int hidden, int steps, int rollouts,
     next.c = next.c.Detach();
     return next;
   };
-  auto step_fast = [&](const nn::LstmState& state, int t) {
+  auto step_ops = [&](const nn::LstmState& state, int t) {
+    ids[0] = (t * 17) % vocab;
+    return cell.ForwardOps(embedding.Forward(ids), state,
+                           0.25f + 0.01f * (t % 7), 0.5f + 0.02f * (t % 5));
+  };
+  auto step_direct = [&](const nn::LstmState& state, int t) {
     ids[0] = (t * 17) % vocab;
     return cell.Forward(embedding.Forward(ids), state,
                         0.25f + 0.01f * (t % 7), 0.5f + 0.02f * (t % 5));
   };
-  return TimeModePair(init, step_graph, step_fast, steps, rollouts, reps);
+  return TimeModePair(init, step_graph, step_ops, step_direct, steps,
+                      rollouts, reps);
 }
 
 struct OverheadResult {
@@ -474,10 +480,9 @@ int Run(bool smoke) {
   serve::JsonWriter w;
   w.BeginObject()
       .Field("bench", "inference_path")
-      .Field("schema_version", 3)
+      .Field("schema_version", 4)
       .Field("smoke", smoke)
       .Field("simd_table", tensor::kernels::BestSimdTable().name)
-      .Field("fusion_enabled", tensor::fusion::Enabled())
       .Field("lstm_forward_graph_ns_op", lstm.graph.ns_per_step)
       .Field("lstm_forward_nograph_ns_op", lstm.nograph.ns_per_step)
       .Field("lstm_forward_speedup", lstm.speedup())
@@ -552,18 +557,16 @@ int Run(bool smoke) {
         st_clstm.simd_speedup());
     return 1;
   }
-  // Fused-replay gates only apply when fusion is actually on (the PA_FUSION
-  // escape hatch turns the fused arm into a second unfused pass).
-  if (!smoke && tensor::fusion::Enabled() && lstm.fused_speedup() < 1.3) {
+  if (!smoke && lstm.fused_speedup() < 1.3) {
     std::fprintf(stderr,
-                 "FAIL: lstm_forward fused replay %.2fx < 1.3x over the "
+                 "FAIL: lstm_forward direct step %.2fx < 1.3x over the "
                  "unfused fast path\n",
                  lstm.fused_speedup());
     return 1;
   }
-  if (!smoke && tensor::fusion::Enabled() && st_clstm.fused_speedup() < 1.3) {
+  if (!smoke && st_clstm.fused_speedup() < 1.3) {
     std::fprintf(stderr,
-                 "FAIL: st_clstm_forward fused replay %.2fx < 1.3x over the "
+                 "FAIL: st_clstm_forward direct step %.2fx < 1.3x over the "
                  "unfused fast path\n",
                  st_clstm.fused_speedup());
     return 1;

@@ -3,8 +3,8 @@
 // loads it back the way a serving process would, and drives the full
 // serving stack through four arms:
 //
-//   1. engine    — the original single serve::Engine batched replay
-//                  (baseline; end-to-end p50/p95/p99 + throughput).
+//   1. engine    — one synchronous serve::Engine, TopK then Observe per
+//                  query (baseline; end-to-end p50/p95/p99 + throughput).
 //   2. sharded   — the same stream through net::ShardedEngine at K=1 and
 //                  K=--shards, measuring the router's scaling. The >=2x
 //                  speedup gate is hardware-aware: it only fires when the
@@ -50,6 +50,9 @@
 #include <thread>
 #include <vector>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "net/ndjson_protocol.h"
@@ -223,21 +226,27 @@ NetClientResult RunNetClient(uint16_t port,
     result.failed = lines.size();
     return result;
   }
+  // A refill written while the previous one is still unacknowledged would
+  // otherwise wait for the server's ACK (Nagle).
+  const int one = 1;
+  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   size_t sent = 0, received = 0;
-  std::string buf;
+  std::string buf, out;
   char chunk[4096];
   while (received < lines.size()) {
-    while (sent < lines.size() && sent - received < window) {
-      if (!net::SendAll(fd, lines[sent].data(), lines[sent].size())) {
-        close(fd);
-        result.failed += lines.size() - received;
-        return result;
-      }
-      ++sent;
+    // Refill the window with one write, so the client costs one syscall per
+    // refill rather than one per request line.
+    out.clear();
+    for (; sent < lines.size() && sent - received < window; ++sent) {
+      out += lines[sent];
       ++result.sent;
     }
-    size_t nl;
-    while ((nl = buf.find('\n')) == std::string::npos) {
+    if (!out.empty() && !net::SendAll(fd, out.data(), out.size())) {
+      close(fd);
+      result.failed += lines.size() - received;
+      return result;
+    }
+    while (buf.find('\n') == std::string::npos) {
       const ssize_t n = ::read(fd, chunk, sizeof(chunk));
       if (n <= 0) {
         close(fd);
@@ -246,14 +255,18 @@ NetClientResult RunNetClient(uint16_t port,
       }
       buf.append(chunk, static_cast<size_t>(n));
     }
-    const std::string line = buf.substr(0, nl);
-    buf.erase(0, nl + 1);
-    ++received;
-    if (line.find("\"ok\":true") != std::string::npos) {
-      ++result.ok;
-    } else {
-      ++result.failed;
+    // Consume every complete response read so far before refilling.
+    size_t start = 0, nl;
+    while ((nl = buf.find('\n', start)) != std::string::npos) {
+      ++received;
+      if (buf.find("\"ok\":true", start) < nl) {
+        ++result.ok;
+      } else {
+        ++result.failed;
+      }
+      start = nl + 1;
     }
+    buf.erase(0, start);
   }
   close(fd);
   return result;
@@ -404,29 +417,25 @@ int Run(const Options& opt) {
     }
   };
 
-  // --- Arm 1: baseline single serve::Engine, batched replay. --------------
+  // --- Arm 1: baseline single serve::Engine, synchronous replay. ----------
   uint64_t baseline_failed = 0;
   double baseline_qps = 0.0, baseline_elapsed = 0.0;
   std::string baseline_engine_json;
-  constexpr int kBatch = 16;
   {
     serve::Engine engine(shared_model, engine_config);
     for (const UserStream& s : streams) {
       for (const poi::Checkin& c : s.warm) engine.Observe(c);
     }
     const auto t0 = std::chrono::steady_clock::now();
-    for (size_t base = 0; base < queries.size(); base += kBatch) {
-      const size_t n = std::min<size_t>(kBatch, queries.size() - base);
-      std::vector<serve::TopKRequest> batch(n);
-      for (size_t i = 0; i < n; ++i) {
-        batch[i].user = queries[base + i].user;
-        batch[i].k = 10;
-        batch[i].next_timestamp = queries[base + i].timestamp;
+    for (const poi::Checkin& c : queries) {
+      serve::TopKRequest request;
+      request.user = c.user;
+      request.k = 10;
+      request.next_timestamp = c.timestamp;
+      if (engine.TopK(request).status != serve::RequestStatus::kOk) {
+        ++baseline_failed;
       }
-      for (const serve::TopKResponse& r : engine.TopKBatch(batch)) {
-        if (r.status != serve::RequestStatus::kOk) ++baseline_failed;
-      }
-      for (size_t i = 0; i < n; ++i) engine.Observe(queries[base + i]);
+      engine.Observe(c);
     }
     baseline_elapsed = Seconds(std::chrono::steady_clock::now() - t0);
     baseline_qps =
@@ -776,7 +785,6 @@ int Run(const Options& opt) {
       .Field("shards", int64_t{opt.shards})
       .Field("hardware_threads", int64_t{hardware_threads})
       .Field("num_queries", static_cast<uint64_t>(queries.size()))
-      .Field("batch_size", kBatch)
       .Field("deadline_ms", engine_config.deadline_ms)
       .Field("failed", baseline_failed)
       .Field("throughput_qps", baseline_qps)

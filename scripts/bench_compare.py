@@ -73,12 +73,10 @@ INFERENCE_PATH_V2_KEYS = (
     "quant_hr_drift",
 )
 
-# inference_path grew the operator-fusion / compiled-step arm in
-# schema_version 3: `nograph` pins fusion off (comparable with v2 history)
-# and the fused arm replays the compiled per-cell program;
-# *_fused_speedup = nograph_ns / fused_ns.
+# inference_path grew the fused-step arm in schema_version 3:
+# *_fused_speedup = nograph_ns / fused_ns. Since schema_version 4 `nograph`
+# is the cells' op composition (ForwardOps) and `fused` their direct step.
 INFERENCE_PATH_V3_KEYS = (
-    "fusion_enabled",
     "lstm_forward_fused_ns_op",
     "lstm_forward_fused_speedup",
     "st_clstm_forward_fused_ns_op",
@@ -322,8 +320,6 @@ def check_schema(paths):
             for key in INFERENCE_PATH_V3_KEYS:
                 if key not in doc:
                     problems.append(f"inference_path v3 missing '{key}'")
-            if not isinstance(doc.get("fusion_enabled"), bool):
-                problems.append("'fusion_enabled' must be a boolean")
         if doc.get("bench") == "serving" and \
                 isinstance(doc.get("schema_version"), int) and \
                 doc["schema_version"] >= 2:

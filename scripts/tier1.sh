@@ -26,13 +26,6 @@ for simd in scalar auto; do
     -R 'tensor_kernels_test|tensor_ops_test|tensor_inference_test|tensor_fusion_test|inference_equivalence_test'
 done
 
-# Fusion escape-hatch cross-check: the compiled-step suites rerun with
-# PA_FUSION=off, proving the unfused fast path still stands on its own (and
-# that the fusion tests' assertions degrade gracefully when the recorder
-# never engages).
-PA_FUSION=off ctest --test-dir build --output-on-failure \
-  -R 'tensor_fusion_test|inference_equivalence_test'
-
 # Inference fast-path smoke: the bench binary in --smoke mode checks
 # bit-identity between the graph and graph-free forward paths (skipping the
 # slow timed speedup gate), and bench_compare.py validates the emitted JSON
@@ -189,29 +182,13 @@ try:
 
     sock = socket.create_connection(("127.0.0.1", port), timeout=10)
     f = sock.makefile("r")
-    reqs = [{"op": "topk", "user": u, "k": 5, "timestamp": 1000 + u}
-            for u in range(6)]
-    sock.sendall("".join(json.dumps(r) + "\n" for r in reqs).encode())
-    for r in reqs:  # Pipelined burst comes back in request order.
-        resp = json.loads(f.readline())
-        assert resp["ok"] is True and "pois" in resp, resp
-
-    sock.sendall(b'{"op":"topk","user":99999,"strict":true,"id":7}\n')
-    resp = json.loads(f.readline())
-    assert resp["ok"] is False and resp["code"] == "unknown_user" \
-        and resp["id"] == 7, resp
-
-    sock.sendall(b'{"op":"stats"}\n')
-    resp = json.loads(f.readline())
-    assert resp["ok"] is True and resp["shards"] == 2 \
-        and len(resp["per_shard"]) == 2, resp
-    assert resp["metrics_port"] == metrics_port, resp
-
     # Request-tracing round trip against the real binary: the trace id a
     # client reads from a response envelope must resolve on the slow-trace
     # reservoir — fetched through the `slowz` subcommand — with the four
     # stage spans attributed, and trace_summary.py must render the span
-    # tree from that dump.
+    # tree from that dump. It runs before any other request: the reservoir
+    # keeps only the K=8 slowest traces, so a probe sent after eight other
+    # requests is kept only if it is not the fastest of the nine.
     sock.sendall(b'{"op":"topk","user":1,"k":5,"timestamp":2000,"id":42}\n')
     resp_line = f.readline()
     m = re.search(r'"trace":"([0-9a-f]+)"', resp_line)
@@ -233,6 +210,24 @@ try:
     subprocess.run(
         ["python3", "scripts/trace_summary.py", "build/tier1_slowz.json",
          "--trace", trace_hex], check=True, stdout=subprocess.DEVNULL)
+
+    reqs = [{"op": "topk", "user": u, "k": 5, "timestamp": 1000 + u}
+            for u in range(6)]
+    sock.sendall("".join(json.dumps(r) + "\n" for r in reqs).encode())
+    for r in reqs:  # Pipelined burst comes back in request order.
+        resp = json.loads(f.readline())
+        assert resp["ok"] is True and "pois" in resp, resp
+
+    sock.sendall(b'{"op":"topk","user":99999,"strict":true,"id":7}\n')
+    resp = json.loads(f.readline())
+    assert resp["ok"] is False and resp["code"] == "unknown_user" \
+        and resp["id"] == 7, resp
+
+    sock.sendall(b'{"op":"stats"}\n')
+    resp = json.loads(f.readline())
+    assert resp["ok"] is True and resp["shards"] == 2 \
+        and len(resp["per_shard"]) == 2, resp
+    assert resp["metrics_port"] == metrics_port, resp
 
     conn = http.client.HTTPConnection("127.0.0.1", metrics_port, timeout=10)
     conn.request("GET", "/metrics")
@@ -286,8 +281,9 @@ ctest --test-dir build-tsan --output-on-failure \
 # tensors through every kernel table — exactly where memory bugs and UB
 # (bad float->int casts, OOB tails past a vector width) would hide. The
 # kernel suite runs under both PA_SIMD extremes here too, and the fusion
-# suite rides along because compiled-step replay hands raw pointer offsets
-# (views into gates buffers, arena slots) straight to the kernels.
+# suite rides along because the direct cell steps hand raw pointer offsets
+# (gate slices, the GRU's weight column window, per-row state slices of a
+# batch) straight to the kernels.
 cmake -B build-asan -S . -DPA_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j"$(nproc)" --target \
   nn_serialize_test serve_json_test serve_artifact_test \

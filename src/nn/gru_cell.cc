@@ -1,5 +1,6 @@
 #include "nn/gru_cell.h"
 
+#include "nn/cell_step.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 
@@ -24,26 +25,27 @@ GruCell::GruCell(int input_dim, int hidden_dim, util::Rng& rng)
 
 tensor::Tensor GruCell::Forward(const tensor::Tensor& x,
                                 const tensor::Tensor& h) const {
-  const int hd = hidden_dim_;
-  // Compiled replay folds the constant `SliceCols(w_h_, 2h, h)` weight
-  // block at compile time and reads the xg/hg gate slices as views.
-  std::vector<Tensor> out = tensor::fusion::RunStep(
-      site_, /*variant=*/0, {x, h}, {}, [&]() -> std::vector<Tensor> {
-        Tensor xg = tensor::Add(tensor::MatMul(x, w_x_), b_);
-        Tensor hg = tensor::MatMul(h, w_h_);
+  if (step::Applies(x, input_dim_, h, hidden_dim_)) {
+    return step::Gru(x, h, w_x_, w_h_, b_);
+  }
+  return ForwardOps(x, h);
+}
 
-        Tensor z = tensor::Sigmoid(tensor::Add(tensor::SliceCols(xg, 0, hd),
-                                               tensor::SliceCols(hg, 0, hd)));
-        Tensor r = tensor::Sigmoid(tensor::Add(tensor::SliceCols(xg, hd, hd),
-                                               tensor::SliceCols(hg, hd, hd)));
-        // Candidate uses the reset-gated hidden state.
-        Tensor n_h = tensor::MatMul(tensor::Mul(r, h),
-                                    tensor::SliceCols(w_h_, 2 * hd, hd));
-        Tensor n = tensor::Tanh(
-            tensor::Add(tensor::SliceCols(xg, 2 * hd, hd), n_h));
-        return {tensor::Add(tensor::Mul(OneMinus(z), n), tensor::Mul(z, h))};
-      });
-  return std::move(out[0]);
+tensor::Tensor GruCell::ForwardOps(const tensor::Tensor& x,
+                                   const tensor::Tensor& h) const {
+  const int hd = hidden_dim_;
+  Tensor xg = tensor::Add(tensor::MatMul(x, w_x_), b_);
+  Tensor hg = tensor::MatMul(h, w_h_);
+
+  Tensor z = tensor::Sigmoid(tensor::Add(tensor::SliceCols(xg, 0, hd),
+                                         tensor::SliceCols(hg, 0, hd)));
+  Tensor r = tensor::Sigmoid(tensor::Add(tensor::SliceCols(xg, hd, hd),
+                                         tensor::SliceCols(hg, hd, hd)));
+  // Candidate uses the reset-gated hidden state.
+  Tensor n_h =
+      tensor::MatMul(tensor::Mul(r, h), tensor::SliceCols(w_h_, 2 * hd, hd));
+  Tensor n = tensor::Tanh(tensor::Add(tensor::SliceCols(xg, 2 * hd, hd), n_h));
+  return tensor::Add(tensor::Mul(OneMinus(z), n), tensor::Mul(z, h));
 }
 
 tensor::Tensor GruCell::InitialState(int batch) const {

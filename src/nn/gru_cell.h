@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "nn/module.h"
-#include "tensor/compiled_step.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
@@ -22,9 +21,16 @@ class GruCell : public Module {
  public:
   GruCell(int input_dim, int hidden_dim, util::Rng& rng);
 
-  /// x is `[batch, input_dim]`, h is `[batch, hidden_dim]`.
+  /// x is `[batch, input_dim]`, h is `[batch, hidden_dim]`. Under
+  /// inference mode this is the direct step (nn/cell_step.h); otherwise it
+  /// is `ForwardOps`.
   tensor::Tensor Forward(const tensor::Tensor& x,
                          const tensor::Tensor& h) const;
+
+  /// The step as a composition of tensor ops (training's autograd path and
+  /// the direct step's bitwise reference).
+  tensor::Tensor ForwardOps(const tensor::Tensor& x,
+                            const tensor::Tensor& h) const;
 
   tensor::Tensor InitialState(int batch) const;
 
@@ -39,7 +45,6 @@ class GruCell : public Module {
   tensor::Tensor w_x_;  // [input_dim, 3 * hidden] for z, r, n.
   tensor::Tensor w_h_;  // [hidden, 3 * hidden]
   tensor::Tensor b_;    // [1, 3 * hidden]
-  tensor::fusion::StepSite site_;
 };
 
 }  // namespace pa::nn

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "nn/cell_step.h"
 #include "nn/layers.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
@@ -43,24 +44,26 @@ LstmCell::LstmCell(int input_dim, int hidden_dim, util::Rng& rng)
 
 LstmState LstmCell::Forward(const tensor::Tensor& x,
                             const LstmState& prev) const {
+  if (step::Applies(x, input_dim_, prev, hidden_dim_)) {
+    return step::Lstm(x, prev, w_x_, w_h_, b_);
+  }
+  return ForwardOps(x, prev);
+}
+
+LstmState LstmCell::ForwardOps(const tensor::Tensor& x,
+                               const LstmState& prev) const {
   const int h = hidden_dim_;
-  std::vector<Tensor> out = tensor::fusion::RunStep(
-      site_, /*variant=*/0, {x, prev.h, prev.c}, {},
-      [&]() -> std::vector<Tensor> {
-        Tensor gates = tensor::Add(
-            tensor::Add(tensor::MatMul(x, w_x_), tensor::MatMul(prev.h, w_h_)),
-            b_);
-        Tensor i = tensor::Sigmoid(tensor::SliceCols(gates, 0, h));
-        Tensor f = tensor::Sigmoid(tensor::SliceCols(gates, h, h));
-        Tensor g = tensor::Tanh(tensor::SliceCols(gates, 2 * h, h));
-        Tensor o = tensor::Sigmoid(tensor::SliceCols(gates, 3 * h, h));
-        Tensor c = tensor::Add(tensor::Mul(f, prev.c), tensor::Mul(i, g));
-        Tensor hh = tensor::Mul(o, tensor::Tanh(c));
-        // Move: h and c are dead locals, and shared_ptr copies cost a locked
-        // refcount pair each — measurable next to a 24-wide cell step.
-        return {std::move(hh), std::move(c)};
-      });
-  return {std::move(out[0]), std::move(out[1])};
+  Tensor gates = tensor::Add(
+      tensor::Add(tensor::MatMul(x, w_x_), tensor::MatMul(prev.h, w_h_)), b_);
+  Tensor i = tensor::Sigmoid(tensor::SliceCols(gates, 0, h));
+  Tensor f = tensor::Sigmoid(tensor::SliceCols(gates, h, h));
+  Tensor g = tensor::Tanh(tensor::SliceCols(gates, 2 * h, h));
+  Tensor o = tensor::Sigmoid(tensor::SliceCols(gates, 3 * h, h));
+  Tensor c = tensor::Add(tensor::Mul(f, prev.c), tensor::Mul(i, g));
+  Tensor hh = tensor::Mul(o, tensor::Tanh(c));
+  // Move: h and c are dead locals, and shared_ptr copies cost a locked
+  // refcount pair each — measurable next to a 24-wide cell step.
+  return {std::move(hh), std::move(c)};
 }
 
 LstmState LstmCell::ForwardZoneout(const tensor::Tensor& x,

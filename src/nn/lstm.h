@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "nn/module.h"
-#include "tensor/compiled_step.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
@@ -37,8 +36,14 @@ class LstmCell : public Module {
  public:
   LstmCell(int input_dim, int hidden_dim, util::Rng& rng);
 
-  /// Plain step: x is `[batch, input_dim]`, returns the next state.
+  /// Plain step: x is `[batch, input_dim]`, returns the next state. Under
+  /// inference mode this is the direct step (nn/cell_step.h); otherwise it
+  /// is `ForwardOps`.
   LstmState Forward(const tensor::Tensor& x, const LstmState& prev) const;
+
+  /// The step as a composition of tensor ops: what training differentiates
+  /// through, and the reference the direct step is bit-identical to.
+  LstmState ForwardOps(const tensor::Tensor& x, const LstmState& prev) const;
 
   /// Step with zoneout. When `training` is true, units are preserved by
   /// Bernoulli masks drawn from `rng`; at evaluation time the expectation
@@ -62,9 +67,6 @@ class LstmCell : public Module {
   tensor::Tensor w_x_;  // [input_dim, 4 * hidden_dim]
   tensor::Tensor w_h_;  // [hidden_dim, 4 * hidden_dim]
   tensor::Tensor b_;    // [1, 4 * hidden_dim]
-  // Compiled-step identity of this cell's Forward body; a fresh cell (or a
-  // copy) gets a fresh id, so rebuilt models never replay stale programs.
-  tensor::fusion::StepSite site_;
 };
 
 /// Bi-directional LSTM layer: a forward cell reading c_1..c_n and a backward

@@ -1,5 +1,6 @@
 #include "nn/rnn_cell.h"
 
+#include "nn/cell_step.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 
@@ -14,14 +15,16 @@ RnnCell::RnnCell(int input_dim, int hidden_dim, util::Rng& rng)
 
 tensor::Tensor RnnCell::Forward(const tensor::Tensor& x,
                                 const tensor::Tensor& h) const {
-  std::vector<tensor::Tensor> out = tensor::fusion::RunStep(
-      site_, /*variant=*/0, {x, h}, {},
-      [&]() -> std::vector<tensor::Tensor> {
-        return {tensor::Tanh(tensor::Add(
-            tensor::Add(tensor::MatMul(x, w_x_), tensor::MatMul(h, w_h_)),
-            b_))};
-      });
-  return std::move(out[0]);
+  if (step::Applies(x, input_dim_, h, hidden_dim_)) {
+    return step::Rnn(x, h, w_x_, w_h_, b_);
+  }
+  return ForwardOps(x, h);
+}
+
+tensor::Tensor RnnCell::ForwardOps(const tensor::Tensor& x,
+                                   const tensor::Tensor& h) const {
+  return tensor::Tanh(tensor::Add(
+      tensor::Add(tensor::MatMul(x, w_x_), tensor::MatMul(h, w_h_)), b_));
 }
 
 tensor::Tensor RnnCell::InitialState(int batch) const {

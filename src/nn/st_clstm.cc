@@ -1,5 +1,6 @@
 #include "nn/st_clstm.h"
 
+#include "nn/cell_step.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 
@@ -33,34 +34,36 @@ StClstmCell::StClstmCell(int input_dim, int hidden_dim, util::Rng& rng)
 
 LstmState StClstmCell::Forward(const tensor::Tensor& x, const LstmState& prev,
                                float delta_t, float delta_d) const {
+  if (step::Applies(x, input_dim_, prev, hidden_dim_)) {
+    return step::StClstm(
+        x, prev, delta_t, delta_d,
+        {w_x_, w_h_, b_, w_xt_, w_t_, b_t_, w_xd_, w_d_, b_d_});
+  }
+  return ForwardOps(x, prev, delta_t, delta_d);
+}
+
+LstmState StClstmCell::ForwardOps(const tensor::Tensor& x,
+                                  const LstmState& prev, float delta_t,
+                                  float delta_d) const {
   const int h = hidden_dim_;
-  // Δt/Δd are declared as per-step scalars: the recorder discriminates the
-  // Scale immediates they feed from genuine constants across two traces,
-  // then patches them into the replayed program each step.
-  std::vector<Tensor> out = tensor::fusion::RunStep(
-      site_, /*variant=*/0, {x, prev.h, prev.c}, {delta_t, delta_d},
-      [&]() -> std::vector<Tensor> {
-        Tensor gates = tensor::Add(
-            tensor::Add(tensor::MatMul(x, w_x_), tensor::MatMul(prev.h, w_h_)),
-            b_);
-        Tensor i = tensor::Sigmoid(tensor::SliceCols(gates, 0, h));
-        Tensor g = tensor::Tanh(tensor::SliceCols(gates, h, h));
-        Tensor o = tensor::Sigmoid(tensor::SliceCols(gates, 2 * h, h));
+  Tensor gates = tensor::Add(
+      tensor::Add(tensor::MatMul(x, w_x_), tensor::MatMul(prev.h, w_h_)), b_);
+  Tensor i = tensor::Sigmoid(tensor::SliceCols(gates, 0, h));
+  Tensor g = tensor::Tanh(tensor::SliceCols(gates, h, h));
+  Tensor o = tensor::Sigmoid(tensor::SliceCols(gates, 2 * h, h));
 
-        Tensor t_gate = tensor::Sigmoid(tensor::Add(
-            tensor::Add(tensor::MatMul(x, w_xt_), tensor::Scale(w_t_, delta_t)),
-            b_t_));
-        Tensor d_gate = tensor::Sigmoid(tensor::Add(
-            tensor::Add(tensor::MatMul(x, w_xd_), tensor::Scale(w_d_, delta_d)),
-            b_d_));
+  Tensor t_gate = tensor::Sigmoid(tensor::Add(
+      tensor::Add(tensor::MatMul(x, w_xt_), tensor::Scale(w_t_, delta_t)),
+      b_t_));
+  Tensor d_gate = tensor::Sigmoid(tensor::Add(
+      tensor::Add(tensor::MatMul(x, w_xd_), tensor::Scale(w_d_, delta_d)),
+      b_d_));
 
-        Tensor effective_i = tensor::Mul(tensor::Mul(i, t_gate), d_gate);
-        Tensor c = tensor::Add(tensor::Mul(OneMinus(effective_i), prev.c),
-                               tensor::Mul(effective_i, g));
-        Tensor hh = tensor::Mul(o, tensor::Tanh(c));
-        return {std::move(hh), std::move(c)};
-      });
-  return {std::move(out[0]), std::move(out[1])};
+  Tensor effective_i = tensor::Mul(tensor::Mul(i, t_gate), d_gate);
+  Tensor c = tensor::Add(tensor::Mul(OneMinus(effective_i), prev.c),
+                         tensor::Mul(effective_i, g));
+  Tensor hh = tensor::Mul(o, tensor::Tanh(c));
+  return {std::move(hh), std::move(c)};
 }
 
 LstmState StClstmCell::InitialState(int batch) const {

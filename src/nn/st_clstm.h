@@ -5,7 +5,6 @@
 
 #include "nn/lstm.h"
 #include "nn/module.h"
-#include "tensor/compiled_step.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
@@ -32,9 +31,16 @@ class StClstmCell : public Module {
   StClstmCell(int input_dim, int hidden_dim, util::Rng& rng);
 
   /// One step. `delta_t` and `delta_d` are the (normalized) time and
-  /// distance intervals from the previous check-in to this one.
+  /// distance intervals from the previous check-in to this one. Under
+  /// inference mode this is the direct step (nn/cell_step.h); otherwise it
+  /// is `ForwardOps`.
   LstmState Forward(const tensor::Tensor& x, const LstmState& prev,
                     float delta_t, float delta_d) const;
+
+  /// The step as a composition of tensor ops (training's autograd path and
+  /// the direct step's bitwise reference).
+  LstmState ForwardOps(const tensor::Tensor& x, const LstmState& prev,
+                       float delta_t, float delta_d) const;
 
   LstmState InitialState(int batch) const;
 
@@ -55,7 +61,6 @@ class StClstmCell : public Module {
   tensor::Tensor w_xd_;  // [input_dim, hidden] distance-gate input weights.
   tensor::Tensor w_d_;   // [1, hidden]
   tensor::Tensor b_d_;   // [1, hidden]
-  tensor::fusion::StepSite site_;
 };
 
 }  // namespace pa::nn

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "nn/cell_step.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 
@@ -44,21 +45,22 @@ int StRnnCell::DistanceBucket(float delta_d) const {
 tensor::Tensor StRnnCell::Forward(const tensor::Tensor& x,
                                   const tensor::Tensor& h, float delta_t,
                                   float delta_d) const {
-  const int db = DistanceBucket(delta_d);
-  const int tb = TimeBucket(delta_t);
-  const tensor::Tensor& wx = w_x_[static_cast<size_t>(db)];
-  const tensor::Tensor& wh = w_h_[static_cast<size_t>(tb)];
-  // The bucket pair selects which weight matrices the body closes over, so
-  // it is the compiled-program variant, not a per-step scalar.
-  const uint32_t variant =
-      static_cast<uint32_t>(db) * static_cast<uint32_t>(time_buckets_) +
-      static_cast<uint32_t>(tb);
-  std::vector<tensor::Tensor> out = tensor::fusion::RunStep(
-      site_, variant, {x, h}, {}, [&]() -> std::vector<tensor::Tensor> {
-        return {tensor::Tanh(tensor::Add(
-            tensor::Add(tensor::MatMul(x, wx), tensor::MatMul(h, wh)), b_))};
-      });
-  return std::move(out[0]);
+  if (step::Applies(x, input_dim_, h, hidden_dim_)) {
+    const size_t db = static_cast<size_t>(DistanceBucket(delta_d));
+    const size_t tb = static_cast<size_t>(TimeBucket(delta_t));
+    return step::Rnn(x, h, w_x_[db], w_h_[tb], b_);
+  }
+  return ForwardOps(x, h, delta_t, delta_d);
+}
+
+tensor::Tensor StRnnCell::ForwardOps(const tensor::Tensor& x,
+                                     const tensor::Tensor& h, float delta_t,
+                                     float delta_d) const {
+  const size_t db = static_cast<size_t>(DistanceBucket(delta_d));
+  const size_t tb = static_cast<size_t>(TimeBucket(delta_t));
+  return tensor::Tanh(tensor::Add(
+      tensor::Add(tensor::MatMul(x, w_x_[db]), tensor::MatMul(h, w_h_[tb])),
+      b_));
 }
 
 tensor::Tensor StRnnCell::InitialState(int batch) const {

@@ -4,7 +4,6 @@
 #include "serve/json.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/tensor.h"
-#include "util/thread_pool.h"
 
 namespace pa::serve {
 
@@ -111,9 +110,8 @@ TopKResponse Engine::Run(const TopKRequest& request,
   // this request's span in the PA_OBS_TRACE dump. id() is 0 when tracing
   // is off, which degrades to a plain Record.
   const obs::TraceSpan span("serve.request");
-  // Run executes on whatever thread carries the request (caller, pool
-  // worker via TopKBatch/TopKAsync); the scope is per-thread, so it is
-  // entered here rather than at the batch fan-out.
+  // Run executes on whatever thread carries the request (the caller, or a
+  // shard worker); the scope is per-thread, so it is entered here.
   const tensor::InferenceModeScope inference;
   const auto deadline =
       enqueue + std::chrono::milliseconds(config_.deadline_ms);
@@ -179,27 +177,6 @@ TopKResponse Engine::TopK(const TopKRequest& request) {
 TopKResponse Engine::TopKAt(const TopKRequest& request,
                             Clock::time_point enqueue) {
   return Run(request, enqueue);
-}
-
-std::vector<TopKResponse> Engine::TopKBatch(
-    const std::vector<TopKRequest>& requests) {
-  const auto enqueue = Clock::now();
-  std::vector<TopKResponse> responses(requests.size());
-  util::GlobalPool().ParallelFor(
-      0, static_cast<int64_t>(requests.size()), 1, [&](int64_t i) {
-        responses[static_cast<size_t>(i)] =
-            Run(requests[static_cast<size_t>(i)], enqueue);
-      });
-  return responses;
-}
-
-std::future<TopKResponse> Engine::TopKAsync(const TopKRequest& request) {
-  const auto enqueue = Clock::now();
-  auto task = std::make_shared<std::packaged_task<TopKResponse()>>(
-      [this, request, enqueue] { return Run(request, enqueue); });
-  std::future<TopKResponse> future = task->get_future();
-  util::GlobalPool().Submit([task] { (*task)(); });
-  return future;
 }
 
 void Engine::SwapModel(std::shared_ptr<const LoadedModel> model) {

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -81,12 +80,11 @@ struct EngineStats {
 
 /// The serving engine: request-level API over one active model.
 ///
-/// Synchronous `Observe`/`TopK` run on the calling thread. `TopKBatch` fans
-/// a batch across the global `util::ThreadPool` (grain 1 — requests are
-/// coarse units); `TopKAsync` enqueues one request and returns a future.
-/// Deadlines never block the pool: expiry is *checked*, at dequeue and at
-/// completion, not enforced by interruption — a slow model call runs to
-/// completion and is then reported as timed out.
+/// `Observe`/`TopK` run synchronously on the calling thread; concurrency
+/// lives one layer up, in `net::ShardedEngine`, whose shard workers each
+/// own an Engine. Deadlines are *checked*, at dequeue and at completion,
+/// not enforced by interruption — a slow model call runs to completion and
+/// is then reported as timed out.
 class Engine {
  public:
   Engine(std::shared_ptr<const LoadedModel> model, EngineConfig config = {});
@@ -112,14 +110,6 @@ class Engine {
   /// session.
   TopKResponse TopKAt(const TopKRequest& request,
                       std::chrono::steady_clock::time_point enqueue);
-
-  /// Answers a batch; response i corresponds to request i. All requests
-  /// share one enqueue instant, so the whole batch races one deadline —
-  /// matching how a frontend flushes a batch of user queries at once.
-  std::vector<TopKResponse> TopKBatch(const std::vector<TopKRequest>& requests);
-
-  /// Enqueues one request on the pool.
-  std::future<TopKResponse> TopKAsync(const TopKRequest& request);
 
   /// Hot-swaps the active model. Sessions and histories are cleared: state
   /// built against the old parameters is meaningless against the new ones.

@@ -72,7 +72,7 @@
 //
 //   pa_serve stats --store DIR [--model LSTM] [--version N] [--probe N]
 //     Loads the model, drives a small probe workload (N users each observe
-//     a couple of check-ins, then one top-k batch) through a fresh engine,
+//     a couple of check-ins, then one top-k query) through a fresh engine,
 //     and prints one NDJSON line with the full metric-registry snapshot —
 //     a self-contained health check covering serving, session-store,
 //     thread-pool and tensor-pool metrics. "probe_delta" carries only what
@@ -116,6 +116,7 @@
 #include "serve/json.h"
 #include "serve/model_store.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -533,12 +534,15 @@ int CmdStats(const Flags& flags) {
   // printing an all-zero snapshot. The before-snapshot separates the
   // probe's own contribution from pre-existing counts (model training in
   // this process, a warm registry, ...): "registry" is the absolute
-  // after-state, "probe_delta" is just the probe.
+  // after-state, "probe_delta" is just the probe. The probe's synchronous
+  // TopKs may never fan out on the global thread pool, so the pool is
+  // created up front: its instruments then appear in the snapshot (as
+  // zeros) like the serving and tensor-pool ones.
+  util::GlobalPool();
   const obs::MetricRegistry::Snapshot before =
       obs::MetricRegistry::Global().TakeSnapshot();
   const int probe_users =
       static_cast<int>(std::max(1L, flags.GetInt("probe", 4)));
-  std::vector<serve::TopKRequest> batch;
   for (int user = 0; user < probe_users; ++user) {
     for (int step = 0; step < 2; ++step) {
       poi::Checkin checkin;
@@ -551,9 +555,8 @@ int CmdStats(const Flags& flags) {
     request.user = user;
     request.k = 5;
     request.next_timestamp = 3600 * 3;
-    batch.push_back(request);
+    engine.TopK(request);
   }
-  engine.TopKBatch(batch);
 
   const obs::MetricRegistry::Snapshot after =
       obs::MetricRegistry::Global().TakeSnapshot();

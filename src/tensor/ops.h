@@ -145,16 +145,19 @@ StridedView SliceRowsView(const Tensor& a, int start, int len);
 
 namespace detail {
 
-/// Internal hooks for the compiled-step replayer (compiled_step.cc). Not
-/// for general use: these bypass the autograd layer entirely.
+/// Kernel-level entry points for the recurrent cells' direct inference
+/// steps (nn/cell_step.h). Not for general use: these bypass the autograd
+/// layer entirely.
 
 /// The exact inference-mode MatMul forward (same zero-skip inner kernel,
-/// same parallel tiling decision), writing into a caller-provided
-/// zero-initialized out buffer. Replay goes through this so a compiled
-/// step's matmuls stay bit-identical to the eager op, including the
-/// threaded path.
+/// same parallel tiling decision) for output columns [col_lo, col_hi) of
+/// A (m x k) * B (k x n), accumulated into the caller's zero-initialized,
+/// row-major m x n `out`. Every element is the same ascending-p sum the
+/// MatMul op computes, so a step's products stay bit-identical to the op,
+/// including on the threaded path; a narrower window reads a column block
+/// of B in place.
 void MatMulForward(const float* a, const float* b, float* out, int m, int k,
-                   int n);
+                   int n, int col_lo, int col_hi);
 
 /// Wraps a pool-acquired buffer as an inference-mode tensor node (pooled,
 /// no grad, recycled like any fast-path result).

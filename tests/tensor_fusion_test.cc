@@ -1,36 +1,34 @@
 // Fusion-layer suite: the fused kernels (add3/lerp/axpby/cell_update/
 // tanh_mul/gate_act), the Lerp/Axpby ops, the strided slice views, and the
-// CompiledStep record-and-replay path added for the recurrent cells.
+// direct inference steps the recurrent cells run on them (nn/cell_step.h).
 //
-// The contracts under test, from kernels.h and compiled_step.h:
+// The contracts under test, from kernels.h and cell_step.h:
 //
 //   * Every fused kernel is bit-identical, per table, to the composition of
 //     that same table's primitive kernels it replaces (gate_act/tanh_mul
 //     call the table's own SigmoidK/TanhK, so this holds even for the
 //     expf-based entries).
-//   * A compiled-step replay is bit-identical to running the same cell body
-//     unfused (ScopedFusionDisable) and to the graph-building path
-//     (ScopedInferenceDisable), serial and with PA_THREADS > 1.
-//   * The per-thread program cache discriminates on input shape and on
-//     StepSite identity, and falls back (never miscompiles) on batch > 1.
-//
-// The suite must also pass under PA_FUSION=off (tier1.sh reruns it that
-// way), so every assertion that fusion actually engaged is gated on
-// fusion::Enabled().
+//   * A cell's direct step (`Forward` under InferenceModeScope) is
+//     bit-identical to its op composition (`ForwardOps`) under inference
+//     mode and to the graph-building path (ScopedInferenceDisable), at
+//     batch 1 and 3, serially and with PA_THREADS > 1.
+//   * The direct step reads live weights: an in-place weight update between
+//     two steps is visible to the next one.
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "augment/pa_seq2seq.h"
+#include "nn/cell_step.h"
 #include "nn/gru_cell.h"
 #include "nn/lstm.h"
 #include "nn/rnn_cell.h"
 #include "nn/st_clstm.h"
 #include "nn/st_rnn_cell.h"
-#include "tensor/compiled_step.h"
 #include "tensor/gradcheck.h"
 #include "tensor/init.h"
 #include "tensor/kernels/kernels.h"
@@ -44,7 +42,6 @@ namespace {
 
 using tensor::Shape;
 using tensor::Tensor;
-namespace fusion = tensor::fusion;
 namespace kernels = tensor::kernels;
 
 // ---------------------------------------------------------------------------
@@ -99,7 +96,7 @@ TEST(FusedKernelTest, LerpMatchesOneMinusComposition) {
   for (const kernels::KernelTable* kt : AllTables()) {
     std::vector<float> fused(kN), ref(kN), om(kN), t(kN);
     kt->lerp(mask.data(), a.data(), b.data(), fused.data(), kN);
-    // The unfused form the rewriter matches: (mask * -1 + 1) ⊙ b + mask ⊙ a.
+    // The unfused form it stands for: (mask * -1 + 1) ⊙ b + mask ⊙ a.
     kt->mulc(mask.data(), -1.0f, om.data(), kN);
     kt->addc(om.data(), 1.0f, om.data(), kN);
     kt->mul(om.data(), b.data(), om.data(), kN);
@@ -163,7 +160,7 @@ TEST(FusedKernelTest, GateActMatchesPerSliceActivationsAndAliasesInPlace) {
       }
     }
     EXPECT_TRUE(BitEqual(fused, ref)) << kt->name;
-    // Exact aliasing (out == gates) is the form compiled replay emits.
+    // Exact aliasing (out == gates) is the form the direct steps use.
     std::vector<float> inplace = gates;
     kt->gate_act(inplace.data(), inplace.data(), /*m=*/1, kH, acts, kSlices);
     EXPECT_TRUE(BitEqual(inplace, ref)) << kt->name << " in-place";
@@ -237,7 +234,7 @@ TEST(StridedViewTest, ViewsMatchCopyingSlices) {
   EXPECT_EQ(std::memcmp(rows.data, rows_copy.data(), 3 * 12 * sizeof(float)),
             0);
 
-  // Single-row column slice is contiguous — the case replay reads in place.
+  // Single-row column slice is contiguous: one flat run of the parent.
   Tensor one = tensor::UniformInit({1, 8}, 1.0f, rng);
   tensor::StridedView v = tensor::SliceColsView(one, 2, 5);
   EXPECT_TRUE(v.contiguous());
@@ -245,10 +242,17 @@ TEST(StridedViewTest, ViewsMatchCopyingSlices) {
 }
 
 // ---------------------------------------------------------------------------
-// Cell-level fused vs unfused vs graph parity.
+// Cell-level parity: direct step vs op composition vs graph.
 
 std::vector<float> Flat(const Tensor& t) {
   return std::vector<float>(t.data(), t.data() + t.numel());
+}
+
+std::vector<float> FlatState(const nn::LstmState& s) {
+  std::vector<float> out = Flat(s.h);
+  const std::vector<float> c = Flat(s.c);
+  out.insert(out.end(), c.begin(), c.end());
+  return out;
 }
 
 // Runs `step` T times, threading the state through, and returns every
@@ -263,64 +267,130 @@ std::vector<float> Rollout(int steps, const StepFn& step) {
   return all;
 }
 
-// Deterministic [1, d] input for step t.
-Tensor StepInput(int d, int t, uint32_t salt) {
-  return Tensor::FromData({1, d},
-                          TestInput(d, salt * 131u + static_cast<uint32_t>(t)));
+// Deterministic [batch, d] input for step t.
+Tensor StepInput(int batch, int d, int t, uint32_t salt) {
+  return Tensor::FromData(
+      {batch, d},
+      TestInput(static_cast<int64_t>(batch) * d,
+                salt * 131u + static_cast<uint32_t>(t)));
 }
 
-// Three-way parity harness: fused (default inference), unfused
-// (ScopedFusionDisable), and graph (ScopedInferenceDisable) rollouts of the
-// same step function must be bitwise identical, and when fusion is enabled
-// the fused run must have gone through compiled replay.
-template <typename RolloutFn>
-void ExpectThreeWayParity(const RolloutFn& run, const char* what) {
-  const fusion::FusionStats before = fusion::ThisThreadStats();
-  std::vector<float> fused;
-  {
-    tensor::InferenceModeScope scope;
-    fused = run();
-  }
-  const fusion::FusionStats after = fusion::ThisThreadStats();
-  std::vector<float> unfused;
-  {
-    tensor::InferenceModeScope scope;
-    fusion::ScopedFusionDisable no_fusion;
-    unfused = run();
-  }
-  std::vector<float> graph;
-  {
-    tensor::internal::ScopedInferenceDisable disable;
-    graph = run();
-  }
-  EXPECT_TRUE(BitEqual(fused, unfused)) << what << ": fused vs unfused";
-  EXPECT_TRUE(BitEqual(fused, graph)) << what << ": fused vs graph";
-  if (fusion::Enabled()) {
-    EXPECT_GT(after.recorded, before.recorded) << what;
-    EXPECT_GT(after.replayed, before.replayed) << what;
-  }
-}
+// Per-step intervals, varied so the ST cells see changing Δt/Δd (and the
+// ST-RNN sweeps its bucket pairs).
+float DeltaT(int t) { return 0.25f + 1.2f * static_cast<float>(t % 3); }
+float DeltaD(int t) { return 0.3f + 1.5f * static_cast<float>(t % 2); }
 
 constexpr int kSteps = 8;
 
-TEST(CompiledStepTest, LstmThreeWayParity) {
-  util::Rng rng(31);
-  nn::LstmCell cell(12, 16, rng);
-  ExpectThreeWayParity(
-      [&] {
-        nn::LstmState state = cell.InitialState(1);
-        return Rollout(kSteps, [&](int t) {
-          state = cell.Forward(StepInput(12, t, 1), state);
-          std::vector<float> out = Flat(state.h);
-          const std::vector<float> c = Flat(state.c);
-          out.insert(out.end(), c.begin(), c.end());
-          return out;
-        });
-      },
-      "lstm");
+// One rollout per cell type. `ops` selects ForwardOps, otherwise Forward
+// (the direct step under InferenceModeScope, the graph path outside it).
+std::vector<float> RollLstm(const nn::LstmCell& cell, bool ops, int batch,
+                            uint32_t salt) {
+  nn::LstmState state = cell.InitialState(batch);
+  return Rollout(kSteps, [&](int t) {
+    const Tensor x = StepInput(batch, cell.input_dim(), t, salt);
+    state = ops ? cell.ForwardOps(x, state) : cell.Forward(x, state);
+    return FlatState(state);
+  });
 }
 
-TEST(CompiledStepTest, LstmZoneoutEvalThreeWayParity) {
+std::vector<float> RollStClstm(const nn::StClstmCell& cell, bool ops,
+                               int batch, uint32_t salt) {
+  nn::LstmState state = cell.InitialState(batch);
+  return Rollout(kSteps, [&](int t) {
+    const Tensor x = StepInput(batch, cell.input_dim(), t, salt);
+    state = ops ? cell.ForwardOps(x, state, DeltaT(t), DeltaD(t))
+                : cell.Forward(x, state, DeltaT(t), DeltaD(t));
+    return FlatState(state);
+  });
+}
+
+std::vector<float> RollGru(const nn::GruCell& cell, bool ops, int batch,
+                           uint32_t salt) {
+  Tensor h = cell.InitialState(batch);
+  return Rollout(kSteps, [&](int t) {
+    const Tensor x = StepInput(batch, cell.input_dim(), t, salt);
+    h = ops ? cell.ForwardOps(x, h) : cell.Forward(x, h);
+    return Flat(h);
+  });
+}
+
+std::vector<float> RollRnn(const nn::RnnCell& cell, bool ops, int batch,
+                           uint32_t salt) {
+  Tensor h = cell.InitialState(batch);
+  return Rollout(kSteps, [&](int t) {
+    const Tensor x = StepInput(batch, cell.input_dim(), t, salt);
+    h = ops ? cell.ForwardOps(x, h) : cell.Forward(x, h);
+    return Flat(h);
+  });
+}
+
+std::vector<float> RollStRnn(const nn::StRnnCell& cell, int input_dim,
+                             bool ops, int batch, uint32_t salt) {
+  Tensor h = cell.InitialState(batch);
+  return Rollout(2 * kSteps, [&](int t) {
+    const Tensor x = StepInput(batch, input_dim, t, salt);
+    h = ops ? cell.ForwardOps(x, h, DeltaT(t), DeltaD(t))
+            : cell.Forward(x, h, DeltaT(t), DeltaD(t));
+    return Flat(h);
+  });
+}
+
+// Three-way parity harness: `run(ops)` is one rollout. The direct step
+// (run(false) under InferenceModeScope), the op composition (run(true)
+// under InferenceModeScope) and the graph path (run(false) under
+// ScopedInferenceDisable, where Forward takes the op composition with
+// autograd) must be bitwise identical.
+template <typename RolloutFn>
+void ExpectThreeWayParity(const RolloutFn& run, const std::string& what) {
+  std::vector<float> direct, ops, graph;
+  {
+    tensor::InferenceModeScope scope;
+    direct = run(false);
+    ops = run(true);
+  }
+  {
+    tensor::internal::ScopedInferenceDisable disable;
+    graph = run(false);
+  }
+  EXPECT_FALSE(direct.empty()) << what;
+  EXPECT_TRUE(BitEqual(direct, ops)) << what << ": direct vs op composition";
+  EXPECT_TRUE(BitEqual(direct, graph)) << what << ": direct vs graph";
+}
+
+// All five cells at one shape.
+void ExpectAllCellsParity(int in, int hidden, int batch) {
+  util::Rng rng(30 + static_cast<uint64_t>(hidden));
+  const nn::LstmCell lstm(in, hidden, rng);
+  const nn::StClstmCell st_clstm(in, hidden, rng);
+  const nn::GruCell gru(in, hidden, rng);
+  const nn::RnnCell rnn(in, hidden, rng);
+  const nn::StRnnCell st_rnn(in, hidden, rng, /*time_buckets=*/3,
+                             /*distance_buckets=*/3);
+  const std::string shape = " [B=" + std::to_string(batch) +
+                            ", h=" + std::to_string(hidden) + "]";
+  ExpectThreeWayParity([&](bool ops) { return RollLstm(lstm, ops, batch, 1); },
+                       "lstm" + shape);
+  ExpectThreeWayParity(
+      [&](bool ops) { return RollStClstm(st_clstm, ops, batch, 3); },
+      "st_clstm" + shape);
+  ExpectThreeWayParity([&](bool ops) { return RollGru(gru, ops, batch, 4); },
+                       "gru" + shape);
+  ExpectThreeWayParity([&](bool ops) { return RollRnn(rnn, ops, batch, 5); },
+                       "rnn" + shape);
+  ExpectThreeWayParity(
+      [&](bool ops) { return RollStRnn(st_rnn, in, ops, batch, 6); },
+      "st_rnn" + shape);
+}
+
+TEST(CellStepTest, LstmThreeWayParity) {
+  util::Rng rng(31);
+  nn::LstmCell cell(12, 16, rng);
+  ExpectThreeWayParity([&](bool ops) { return RollLstm(cell, ops, 1, 1); },
+                       "lstm");
+}
+
+TEST(CellStepTest, LstmZoneoutEvalThreeWayParity) {
   util::Rng rng(32);
   nn::LstmCell cell(10, 12, rng);
   nn::ZoneoutConfig zoneout;
@@ -328,227 +398,179 @@ TEST(CompiledStepTest, LstmZoneoutEvalThreeWayParity) {
   zoneout.cell_prob = 0.05f;
   util::Rng step_rng(1);
   ExpectThreeWayParity(
-      [&] {
+      [&](bool ops) {
         nn::LstmState state = cell.InitialState(1);
         return Rollout(kSteps, [&](int t) {
-          state = cell.ForwardZoneout(StepInput(10, t, 2), state, zoneout,
-                                      /*training=*/false, step_rng);
-          std::vector<float> out = Flat(state.h);
-          const std::vector<float> c = Flat(state.c);
-          out.insert(out.end(), c.begin(), c.end());
-          return out;
+          const Tensor x = StepInput(1, 10, t, 2);
+          if (ops) {
+            // ForwardZoneout's evaluation blend over the op composition.
+            nn::LstmState next = cell.ForwardOps(x, state);
+            next.h = tensor::Axpby(state.h, zoneout.hidden_prob, next.h,
+                                   1.0f - zoneout.hidden_prob);
+            next.c = tensor::Axpby(state.c, zoneout.cell_prob, next.c,
+                                   1.0f - zoneout.cell_prob);
+            state = next;
+          } else {
+            state = cell.ForwardZoneout(x, state, zoneout,
+                                        /*training=*/false, step_rng);
+          }
+          return FlatState(state);
         });
       },
       "lstm_zoneout_eval");
 }
 
-TEST(CompiledStepTest, StClstmThreeWayParity) {
+TEST(CellStepTest, StClstmThreeWayParity) {
   util::Rng rng(33);
   nn::StClstmCell cell(12, 16, rng);
   ExpectThreeWayParity(
-      [&] {
-        nn::LstmState state = cell.InitialState(1);
-        return Rollout(kSteps, [&](int t) {
-          // Vary Δt/Δd per step so scalar discrimination has to bind them.
-          state = cell.Forward(StepInput(12, t, 3), state,
-                               0.25f + 0.01f * static_cast<float>(t % 7),
-                               0.5f + 0.02f * static_cast<float>(t % 5));
-          std::vector<float> out = Flat(state.h);
-          const std::vector<float> c = Flat(state.c);
-          out.insert(out.end(), c.begin(), c.end());
-          return out;
-        });
-      },
-      "st_clstm");
+      [&](bool ops) { return RollStClstm(cell, ops, 1, 3); }, "st_clstm");
 }
 
-TEST(CompiledStepTest, GruThreeWayParity) {
+TEST(CellStepTest, GruThreeWayParity) {
   util::Rng rng(34);
   nn::GruCell cell(12, 16, rng);
-  ExpectThreeWayParity(
-      [&] {
-        Tensor h = cell.InitialState(1);
-        return Rollout(kSteps, [&](int t) {
-          h = cell.Forward(StepInput(12, t, 4), h);
-          return Flat(h);
-        });
-      },
-      "gru");
+  ExpectThreeWayParity([&](bool ops) { return RollGru(cell, ops, 1, 4); },
+                       "gru");
 }
 
-TEST(CompiledStepTest, RnnThreeWayParity) {
+TEST(CellStepTest, RnnThreeWayParity) {
   util::Rng rng(35);
   nn::RnnCell cell(12, 16, rng);
-  ExpectThreeWayParity(
-      [&] {
-        Tensor h = cell.InitialState(1);
-        return Rollout(kSteps, [&](int t) {
-          h = cell.Forward(StepInput(12, t, 5), h);
-          return Flat(h);
-        });
-      },
-      "rnn");
+  ExpectThreeWayParity([&](bool ops) { return RollRnn(cell, ops, 1, 5); },
+                       "rnn");
 }
 
-TEST(CompiledStepTest, StRnnThreeWayParityAcrossBucketVariants) {
+TEST(CellStepTest, StRnnThreeWayParityAcrossBuckets) {
   util::Rng rng(36);
   nn::StRnnCell cell(12, 16, rng, /*time_buckets=*/3, /*distance_buckets=*/3);
   ExpectThreeWayParity(
-      [&] {
-        Tensor h = cell.InitialState(1);
-        // Sweep bucket pairs so several `variant` programs get compiled.
-        return Rollout(2 * kSteps, [&](int t) {
-          const float dt = 0.5f + 1.2f * static_cast<float>(t % 3);
-          const float dd = 0.3f + 1.5f * static_cast<float>(t % 2);
-          h = cell.Forward(StepInput(12, t, 6), h, dt, dd);
-          return Flat(h);
-        });
-      },
-      "st_rnn");
+      [&](bool ops) { return RollStRnn(cell, 12, ops, 1, 6); }, "st_rnn");
 }
 
-// PA_THREADS > 1 with a hidden size big enough that the replayed matmuls
-// cross kMatMulParallelFlops and actually run tiled on the pool.
-TEST(CompiledStepTest, LstmThreadedParityAtLargeHidden) {
-  util::Rng rng(37);
-  nn::LstmCell cell(64, 160, rng);
+// Batch is the row count: B = 3 runs the same steps with a GEMM.
+TEST(CellStepTest, BatchOfThreeParityAllCells) {
+  ExpectAllCellsParity(/*in=*/12, /*hidden=*/16, /*batch=*/3);
+}
+
+// PA_THREADS > 1 with a hidden size big enough that the step matmuls cross
+// kMatMulParallelFlops and actually run tiled on the pool (row tiles at
+// B = 3 for the wide gate products, column tiles otherwise).
+TEST(CellStepTest, ThreadedParityAtLargeHidden) {
   util::SetThreadCount(4);
-  ExpectThreeWayParity(
-      [&] {
-        nn::LstmState state = cell.InitialState(1);
-        return Rollout(kSteps, [&](int t) {
-          state = cell.Forward(StepInput(64, t, 7), state);
-          std::vector<float> out = Flat(state.h);
-          const std::vector<float> c = Flat(state.c);
-          out.insert(out.end(), c.begin(), c.end());
-          return out;
-        });
-      },
-      "lstm_threaded");
+  ExpectAllCellsParity(/*in=*/64, /*hidden=*/160, /*batch=*/1);
+  ExpectAllCellsParity(/*in=*/64, /*hidden=*/160, /*batch=*/3);
   util::SetThreadCount(0);
 }
 
-// ---------------------------------------------------------------------------
-// Cache behavior: shape keying, batch fallback, site independence.
+TEST(CellStepTest, DirectStepAppliesOnlyUnderInferenceWithMatchingRows) {
+  const Tensor x = Tensor::Zeros({3, 8});
+  const Tensor h3 = Tensor::Zeros({3, 12});
+  const Tensor h1 = Tensor::Zeros({1, 12});
+  EXPECT_FALSE(nn::step::Applies(x, 8, h3, 12));  // Graph mode.
+  tensor::InferenceModeScope scope;
+  EXPECT_TRUE(nn::step::Applies(x, 8, h3, 12));
+  EXPECT_FALSE(nn::step::Applies(x, 8, h1, 12));  // Broadcast state.
+  EXPECT_FALSE(nn::step::Applies(x, 9, h3, 12));  // Wrong input width.
+}
 
-TEST(CompiledStepTest, BatchGreaterThanOneFallsBackAndStaysCorrect) {
-  util::Rng rng(41);
-  nn::GruCell cell(8, 12, rng);
-  const fusion::FusionStats before = fusion::ThisThreadStats();
-  std::vector<float> fast, graph;
+// Perturbs every parameter in place (through the shared storage the cell
+// reads), deterministically.
+void NudgeWeights(const std::vector<Tensor>& params) {
+  for (Tensor p : params) {
+    float* d = p.data();
+    for (int64_t i = 0; i < p.numel(); ++i) {
+      d[i] = d[i] * 1.25f + 0.01f * static_cast<float>(i % 7);
+    }
+  }
+}
+
+// The direct step reads weights through their live storage on every call:
+// after an in-place update between two steps, direct == graph again. For
+// the GRU this covers the candidate's [2h, 3h) column window of w_h, which
+// a folded copy taken at an earlier step would leave stale.
+TEST(CellStepTest, InPlaceWeightUpdateIsSeenByTheNextStep) {
+  util::Rng rng(38);
+  const nn::GruCell gru(8, 12, rng);
+  const nn::LstmCell lstm(8, 12, rng);
+  const nn::StClstmCell st_clstm(8, 12, rng);
+  const nn::StRnnCell st_rnn(8, 12, rng, 2, 2);
+  std::vector<Tensor> params;
+  std::vector<std::vector<float>> original;
+  for (const nn::Module* m :
+       std::vector<const nn::Module*>{&gru, &lstm, &st_clstm, &st_rnn}) {
+    for (const Tensor& p : m->Parameters()) {
+      params.push_back(p);
+      original.push_back(Flat(p));
+    }
+  }
+  auto run = [&](bool ops, bool nudge) {
+    for (size_t i = 0; i < params.size(); ++i) {
+      std::memcpy(params[i].data(), original[i].data(),
+                  original[i].size() * sizeof(float));
+    }
+    Tensor gh = gru.InitialState(2);
+    Tensor rh = st_rnn.InitialState(2);
+    nn::LstmState ls = lstm.InitialState(2);
+    nn::LstmState ss = st_clstm.InitialState(2);
+    return Rollout(4, [&](int t) {
+      if (nudge && t == 2) NudgeWeights(params);
+      const Tensor x = StepInput(2, 8, t, 9);
+      gh = ops ? gru.ForwardOps(x, gh) : gru.Forward(x, gh);
+      ls = ops ? lstm.ForwardOps(x, ls) : lstm.Forward(x, ls);
+      ss = ops ? st_clstm.ForwardOps(x, ss, DeltaT(t), DeltaD(t))
+               : st_clstm.Forward(x, ss, DeltaT(t), DeltaD(t));
+      rh = ops ? st_rnn.ForwardOps(x, rh, DeltaT(t), DeltaD(t))
+               : st_rnn.Forward(x, rh, DeltaT(t), DeltaD(t));
+      std::vector<float> out = Flat(gh);
+      for (const std::vector<float>& part :
+           {FlatState(ls), FlatState(ss), Flat(rh)}) {
+        out.insert(out.end(), part.begin(), part.end());
+      }
+      return out;
+    });
+  };
+  ExpectThreeWayParity([&](bool ops) { return run(ops, /*nudge=*/true); },
+                       "weights updated in place");
+  // Sanity: the update does change the outputs.
+  std::vector<float> nudged, plain;
   {
     tensor::InferenceModeScope scope;
-    Tensor h = Tensor::Zeros({3, 12});
-    for (int t = 0; t < 4; ++t) {
-      h = cell.Forward(Tensor::FromData({3, 8}, TestInput(24, 50 + t)), h);
-    }
-    fast = Flat(h);
+    nudged = run(false, true);
+    plain = run(false, false);
   }
-  const fusion::FusionStats after = fusion::ThisThreadStats();
-  {
-    tensor::internal::ScopedInferenceDisable disable;
-    Tensor h = Tensor::Zeros({3, 12});
-    for (int t = 0; t < 4; ++t) {
-      h = cell.Forward(Tensor::FromData({3, 8}, TestInput(24, 50 + t)), h);
-    }
-    graph = Flat(h);
-  }
-  EXPECT_TRUE(BitEqual(fast, graph));
-  if (fusion::Enabled()) {
-    // Batched steps must not record or replay — rows == 1 is the contract.
-    EXPECT_EQ(after.recorded, before.recorded);
-    EXPECT_EQ(after.replayed, before.replayed);
-    EXPECT_GT(after.fallback, before.fallback);
-  }
+  EXPECT_FALSE(BitEqual(nudged, plain));
 }
 
-TEST(CompiledStepTest, ShapeChangeCompilesSeparatePrograms) {
-  // One site, driven directly, with two different input widths: each shape
-  // must get its own cached program and replay correctly.
-  fusion::StepSite site;
-  util::Rng rng(42);
-  Tensor w8 = tensor::UniformInit({8, 8}, 0.5f, rng);
-  Tensor w16 = tensor::UniformInit({16, 16}, 0.5f, rng);
-  auto step = [&](const Tensor& x) {
-    const Tensor& w = x.cols() == 8 ? w8 : w16;
-    std::vector<Tensor> out = fusion::RunStep(
-        site, /*variant=*/0, {x}, {}, [&]() -> std::vector<Tensor> {
-          return {tensor::Tanh(tensor::MatMul(x, w))};
-        });
-    return std::move(out[0]);
-  };
-  const fusion::FusionStats before = fusion::ThisThreadStats();
-  tensor::InferenceModeScope scope;
-  std::vector<std::vector<float>> got;
-  for (int round = 0; round < 4; ++round) {
-    for (int width : {8, 16}) {
-      got.push_back(
-          Flat(step(Tensor::FromData({1, width}, TestInput(width, 60)))));
-    }
-  }
-  const fusion::FusionStats after = fusion::ThisThreadStats();
-  // Same input every round: rounds 1..3 must reproduce round 0 exactly.
-  for (size_t i = 2; i < got.size(); ++i) {
-    EXPECT_TRUE(BitEqual(got[i], got[i % 2])) << "round output " << i;
-  }
-  if (fusion::Enabled()) {
-    // Two shapes -> (at least) two recorded traces and replays for both.
-    EXPECT_GE(after.recorded - before.recorded, 2u);
-    EXPECT_GE(after.replayed - before.replayed, 2u);
-  }
-}
-
-TEST(CompiledStepTest, DistinctCellInstancesDoNotShareAnything) {
+TEST(CellStepTest, DistinctCellInstancesDoNotShareAnything) {
   util::Rng rng_a(43), rng_b(44);
   nn::RnnCell cell_a(6, 10, rng_a);
   nn::RnnCell cell_b(6, 10, rng_b);  // Different weights, same shapes.
-  auto roll = [&](const nn::RnnCell& cell, uint32_t salt) {
-    Tensor h = cell.InitialState(1);
-    return Rollout(kSteps, [&](int t) {
-      h = cell.Forward(StepInput(6, t, salt), h);
-      return Flat(h);
-    });
-  };
-  std::vector<float> a_fused, b_fused, a_ref, b_ref;
+  std::vector<float> a_direct, b_direct, a_ref, b_ref;
   {
     tensor::InferenceModeScope scope;
-    // Interleave the two cells so a shared/stale program would cross wires.
+    // Interleave the two cells so any state shared across instances would
+    // cross wires.
     for (int round = 0; round < 2; ++round) {
-      a_fused = roll(cell_a, 70);
-      b_fused = roll(cell_b, 71);
+      a_direct = RollRnn(cell_a, false, 1, 70);
+      b_direct = RollRnn(cell_b, false, 1, 71);
     }
+    a_ref = RollRnn(cell_a, true, 1, 70);
+    b_ref = RollRnn(cell_b, true, 1, 71);
   }
-  {
-    tensor::InferenceModeScope scope;
-    fusion::ScopedFusionDisable no_fusion;
-    a_ref = roll(cell_a, 70);
-    b_ref = roll(cell_b, 71);
-  }
-  EXPECT_TRUE(BitEqual(a_fused, a_ref));
-  EXPECT_TRUE(BitEqual(b_fused, b_ref));
-  EXPECT_FALSE(BitEqual(a_fused, b_fused));  // Sanity: weights do differ.
-}
-
-TEST(FusionEnabledTest, ScopedDisableTogglesEnabledOnThisThread) {
-  const bool env_on = fusion::Enabled();
-  {
-    fusion::ScopedFusionDisable off;
-    EXPECT_FALSE(fusion::Enabled());
-    {
-      fusion::ScopedFusionDisable nested;
-      EXPECT_FALSE(fusion::Enabled());
-    }
-    EXPECT_FALSE(fusion::Enabled());
-  }
-  EXPECT_EQ(fusion::Enabled(), env_on);
+  EXPECT_TRUE(BitEqual(a_direct, a_ref));
+  EXPECT_TRUE(BitEqual(b_direct, b_ref));
+  EXPECT_FALSE(BitEqual(a_direct, b_direct));  // Sanity: weights do differ.
 }
 
 // ---------------------------------------------------------------------------
-// PA-Seq2Seq decoder: fused vs unfused decode-only entry points.
+// PA-Seq2Seq decoder: the decode-only entry point (direct steps) against the
+// graph path. The decoder has no op-composition entry under inference mode;
+// its cells' direct-vs-ForwardOps parity is covered above.
 
 constexpr int64_t kHour = 3600;
 
-TEST(CompiledStepTest, PaSeq2SeqDecodeParity) {
+TEST(CellStepTest, PaSeq2SeqDecodeParity) {
   poi::PoiTable pois = [] {
     std::vector<geo::LatLng> coords;
     for (int i = 0; i < 6; ++i) {
@@ -579,19 +601,14 @@ TEST(CompiledStepTest, PaSeq2SeqDecodeParity) {
   }
   const int64_t next_ts = 12 * 3 * kHour;
 
-  const fusion::FusionStats before = fusion::ThisThreadStats();
-  const auto rank_fused = model.RankNext(history, next_ts, 6);
-  const fusion::FusionStats after = fusion::ThisThreadStats();
-  std::vector<int32_t> rank_unfused;
+  const auto rank_direct = model.RankNext(history, next_ts, 6);
+  std::vector<int32_t> rank_graph;
   {
-    fusion::ScopedFusionDisable no_fusion;
-    rank_unfused = model.RankNext(history, next_ts, 6);
+    tensor::internal::ScopedInferenceDisable disable;
+    rank_graph = model.RankNext(history, next_ts, 6);
   }
-  EXPECT_EQ(rank_fused, rank_unfused);
-  EXPECT_FALSE(rank_fused.empty());
-  if (fusion::Enabled()) {
-    EXPECT_GT(after.replayed, before.replayed);
-  }
+  EXPECT_EQ(rank_direct, rank_graph);
+  EXPECT_FALSE(rank_direct.empty());
 }
 
 }  // namespace
